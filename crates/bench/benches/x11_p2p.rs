@@ -4,8 +4,7 @@
 //! grows with the number of peers (it stops messaging once stable).
 
 use axml_bench::star_network;
-use axml_p2p::network::Mode;
-use axml_p2p::termination::detect_termination;
+use axml_p2p::{detect_termination, Mode};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -42,7 +41,7 @@ fn bench_termination_detector(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 let mut net = star_network(k, Mode::Pull, None);
-                detect_termination(&mut net, 100).unwrap()
+                detect_termination(&mut net, 100, |_, _| {}).unwrap()
             })
         });
     }

@@ -32,8 +32,7 @@ use axml_core::translate::{strip_annotations, translate};
 use axml_core::tree::Marking;
 use axml_datalog::workload::{chain_tc, random_tc};
 use axml_datalog::{axml_eval, seminaive_eval};
-use axml_p2p::network::Mode;
-use axml_p2p::termination::{detect_termination, Verdict};
+use axml_p2p::{detect_termination, Mode, Verdict};
 use axml_tm::encode::{run_axml_tm, AxmlTmOutcome};
 use axml_tm::machine::{run as tm_run, Outcome};
 use axml_tm::samples;
@@ -433,7 +432,7 @@ fn x11() {
         );
     }
     let mut net = star_network(4, Mode::Pull, None);
-    match detect_termination(&mut net, 100).unwrap() {
+    match detect_termination(&mut net, 100, |_, _| {}).unwrap() {
         Verdict::Terminated { rounds, waves } => println!(
             "\ndistributed termination detector: fired after {rounds} rounds / {waves} waves"
         ),
@@ -664,7 +663,7 @@ fn x15() {
     assert!(net.run(64).unwrap());
     let page = axml_core::Sym::intern("page");
     let portal_store = net.provenance_store("portal").unwrap();
-    let tree = net.peer("portal").unwrap().doc("page").unwrap();
+    let tree = net.tenant("portal").unwrap().doc("page").unwrap();
     let mut remote = 0usize;
     let mut resolved = 0usize;
     for node in tree.iter_live(tree.root()) {
@@ -1465,7 +1464,7 @@ fn x20() {
 /// propagation, rebalance cost at join.
 fn x21() {
     use axml_bench::sharded_tenant_network;
-    use axml_p2p::{detect_termination_sharded_with, ShardedConfig, Verdict};
+    use axml_p2p::ShardedConfig;
 
     header(
         "X21",
@@ -1547,7 +1546,7 @@ fn x21() {
     let saved = 100.0
         * (1.0 - delta.stats.wire_push_bytes as f64 / full.stats.full_push_bytes.max(1) as f64);
     println!(
-        "\ndelta-push: {} bytes vs {} full-response bytes ({saved:.0}% saved, \
+        "\ndelta-push: {} rendered bytes vs {} full-response rendered bytes ({saved:.0}% fewer, \
          {} remote deliveries)",
         delta.stats.wire_push_bytes, full.stats.full_push_bytes, delta.stats.remote_deliveries
     );
@@ -1558,7 +1557,7 @@ fn x21() {
     let mut stable = sharded_tenant_network(2, PAIRS, CHAIN, ShardedConfig::default());
     assert!(stable.run(MAX_ROUNDS).unwrap());
     let mut joined = sharded_tenant_network(2, PAIRS, CHAIN, ShardedConfig::default());
-    let verdict = detect_termination_sharded_with(&mut joined, MAX_ROUNDS, |n, round| {
+    let verdict = detect_termination(&mut joined, MAX_ROUNDS, |n, round| {
         if round == 3 {
             n.join_peer("late");
         }
@@ -1574,15 +1573,14 @@ fn x21() {
         "a mid-run rebalance must not change the fixpoint"
     );
     println!(
-        "rebalance: joined 1 peer mid-run -> {} documents migrated ({} modeled bytes), \
+        "rebalance: joined 1 peer mid-run -> {} documents migrated ({} rendered bytes), \
          epoch {}, fixpoint unchanged",
         joined.stats.rebalance_moves, joined.stats.rebalance_bytes, joined.epoch()
     );
 
     // Per-peer gauges, rendered once as a standalone Prometheus page
-    // (the same series the server's `--peers` scrape exposes) and
-    // validated by the in-repo checker — CI re-validates the artifact
-    // with `axml-inspect prom`.
+    // and validated by the in-repo checker — CI re-validates the
+    // artifact with `axml-inspect prom`.
     let rows: Vec<(String, axml_p2p::PeerGauges)> = delta
         .peer_gauges()
         .into_iter()
@@ -1630,8 +1628,8 @@ fn x21() {
     }
     println!("(claim: Thm 2.1's confluence licenses placement freedom — any consistent-");
     println!(" hash assignment of tenants to peers, even one changing mid-run, reaches");
-    println!(" the same fixpoint; push-mode delta stamps move strictly fewer bytes than");
-    println!(" re-pulled full responses; see docs/sharding.md)");
+    println!(" the same fixpoint; push-mode delta stamps move strictly fewer rendered bytes");
+    println!(" than re-pulled full responses; see docs/sharding.md)");
 }
 
 fn main() {

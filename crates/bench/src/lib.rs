@@ -379,12 +379,13 @@ pub fn catalog(width: usize, depth: usize) -> String {
     s
 }
 
-/// The X11 peer network: `k` store peers feeding one portal.
-pub fn star_network(k: usize, mode: axml_p2p::network::Mode, seed: Option<u64>) -> axml_p2p::network::Network {
-    let mut net = axml_p2p::network::Network::new(mode, seed);
+/// The X11 peer network: `k` store peers feeding one portal, each its
+/// own flat peer.
+pub fn star_network(k: usize, mode: axml_p2p::Mode, seed: Option<u64>) -> axml_p2p::ShardedNetwork {
+    let mut net = axml_p2p::ShardedNetwork::flat(mode, seed);
     let mut dir = String::from("page{");
     for i in 0..k {
-        let store = net.add_peer(&format!("store{i}"));
+        let store = net.add_tenant(&format!("store{i}"));
         store
             .add_document_text(
                 "cds",
@@ -398,7 +399,7 @@ pub fn star_network(k: usize, mode: axml_p2p::network::Mode, seed: Option<u64>) 
     }
     dir.pop();
     dir.push('}');
-    let portal = net.add_peer("portal");
+    let portal = net.add_tenant("portal");
     portal.add_document_text("page", &dir).unwrap();
     net
 }
@@ -571,7 +572,7 @@ mod tests {
 
     #[test]
     fn star_network_quiesces() {
-        let mut net = star_network(3, axml_p2p::network::Mode::Pull, None);
+        let mut net = star_network(3, axml_p2p::Mode::Pull, None);
         assert!(net.run(50).unwrap());
         assert!(net.stats.calls_sent >= 3);
     }

@@ -141,11 +141,7 @@ fn cmd_matrix(args: &mut Vec<String>) -> Result<(), String> {
     let peers = take_num(args, "--peers", 4usize)?;
     let rounds = take_num(args, "--rounds", 16usize)?;
     reject_extra(args)?;
-    let mut net = axml_bench::star_network(
-        peers,
-        axml_p2p::network::Mode::Pull,
-        None,
-    );
+    let mut net = axml_bench::star_network(peers, axml_p2p::Mode::Pull, None);
     net.enable_tracing();
     net.run(rounds).map_err(|e| e.to_string())?;
     print!("{}", matrix_from_events(&net.take_journal()));

@@ -9,45 +9,45 @@
 //! system needs a dedicated mechanism, since each peer only sees its own
 //! fixpoint.
 //!
-//! This crate simulates that setting deterministically:
+//! This crate simulates that setting with one deterministic round
+//! driver plus a threaded runtime:
 //!
-//! * [`network`] — peers, peer-qualified service names (`peer.svc`),
-//!   message-counted request/response (pull) and subscription (push)
-//!   propagation, with randomizable delivery order for the confluence
-//!   experiments;
-//! * [`termination`] — a polling-based distributed quiescence detector
-//!   validated against the simulator's global oracle;
+//! * [`peer`] — peers (documents plus hosted services), peer-qualified
+//!   service names (`peer.svc`), provider-side evaluation and the
+//!   caller-side graft/subsume/reduce delivery primitive;
+//! * [`placement`] — the round driver, [`ShardedNetwork`]: tenants
+//!   (logical peers) placed on physical peers either by a
+//!   consistent-hash [`Ring`] (with mid-run join/leave and O(1) COW
+//!   migration) or pinned one per peer ([`ShardedNetwork::flat`]);
+//!   pull or push propagation ([`Mode`]); delta or full pushes
+//!   ([`ShardedConfig::push_deltas`]); and an optional seeded commit
+//!   order for the confluence experiments;
+//! * [`termination`] — the polling-based distributed quiescence
+//!   detector, sound across rebalances;
 //! * [`threaded`] — truly concurrent peers on OS threads, with a
-//!   double-wave quiescence coordinator;
-//! * [`placement`] — sharded scale-out: consistent-hash placement of
-//!   tenants (small independent AXML systems) onto a physical peer
-//!   ring, push-mode delta propagation of document changes, and
-//!   rebalancing on peer join/leave with O(1) COW document migration.
+//!   double-wave quiescence coordinator.
 //!
-//! Both backends can record structured trace journals of their message
-//! traffic and provider evaluations — see [`axml_core::trace`],
-//! [`Network::enable_tracing`] and [`threaded::run_threaded_traced`] —
-//! and per-peer provenance stores that stamp cross-peer lineage onto
-//! delivered nodes — see [`axml_core::provenance`],
-//! [`Network::enable_provenance`] and [`threaded::run_threaded_full`].
+//! Both the round driver and the threaded runtime can record structured
+//! trace journals of their message traffic and provider evaluations —
+//! see [`axml_core::trace`], [`ShardedNetwork::enable_tracing`] and
+//! [`ThreadedConfig::trace`] — and per-tenant provenance stores that
+//! stamp cross-peer lineage onto delivered nodes — see
+//! [`axml_core::provenance`], [`ShardedNetwork::enable_provenance`] and
+//! [`ThreadedConfig::provenance`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod network;
+pub mod peer;
 pub mod placement;
 pub mod termination;
 pub mod threaded;
 
-pub use network::{Mode, Network, NetworkStats, Peer, PeerSnapshot};
+pub use peer::{Peer, PeerSnapshot};
 pub use placement::{
-    DocId, PeerGauges, Ring, ShardStats, ShardedConfig, ShardedNetwork,
+    DocId, Mode, PeerGauges, Ring, ShardStats, ShardedConfig, ShardedNetwork,
 };
-pub use termination::{
-    detect_termination, detect_termination_sharded,
-    detect_termination_sharded_with, Verdict,
-};
+pub use termination::{detect_termination, Verdict};
 pub use threaded::{
-    run_threaded, run_threaded_config, run_threaded_full, run_threaded_traced,
-    standalone_peer, ThreadedConfig, ThreadedOutcome,
+    run_threaded, standalone_peer, ThreadedConfig, ThreadedOutcome,
 };

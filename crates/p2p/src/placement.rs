@@ -1,5 +1,6 @@
-//! Sharded scale-out: consistent-hash document placement with
-//! push-mode delta propagation.
+//! The deterministic round driver: tenants placed on physical peers,
+//! pull or push propagation, delta or full pushes, and an optional
+//! seeded commit order.
 //!
 //! The paper's confluence theorem (Thm 2.1) makes peer placement
 //! *semantically transparent*: any assignment of documents to peers —
@@ -15,20 +16,33 @@
 //!   hosted services) placed whole onto physical peers, one fair
 //!   round at a time, with the evaluation phase parallel across
 //!   peers and commits applied in one global canonical order;
+//! * **the flat configuration** — [`ShardedNetwork::flat`] pins every
+//!   tenant to a physical peer of its own name (no ring, no
+//!   join/leave) and chooses §2.2's propagation [`Mode`]: *pull*
+//!   re-activates every live call site every round, *push* subscribes
+//!   a call site once and re-fires it only when its provider changed.
+//!   An optional seed shuffles each round's commit order — the
+//!   confluence experiments' randomized delivery;
 //! * **push-mode delta propagation** — when a provider tenant's
 //!   documents change, its owner peer pushes a [`MsgKind::DeltaPush`]
 //!   message carrying per-document delta stamps
 //!   (`id`/`version`/`mutation_count`) plus *only the response trees
 //!   the subscriber has not seen yet*, instead of re-shipping the full
 //!   re-evaluated call response. The subscriber's subsumption check
-//!   (the same `graft_response` primitive the flat network uses)
+//!   (the `graft_response` primitive every delivery goes through)
 //!   guarantees the suppressed trees would not have grafted anyway, so
 //!   the fixpoint is bit-for-bit the full-response one while the wire
 //!   carries strictly fewer bytes on re-pushes;
 //! * **rebalancing** — [`ShardedNetwork::join_peer`] /
 //!   [`ShardedNetwork::leave_peer`] recompute the ring between rounds
-//!   and migrate documents as O(1) COW snapshot handles (PR 9's
-//!   persistent trees), counting moves and modeled wire bytes.
+//!   and migrate documents as O(1) COW snapshot handles (persistent
+//!   trees), counting moves and their rendered-text bytes.
+//!
+//! Byte counters ([`ShardStats::wire_call_bytes`],
+//! [`ShardStats::wire_push_bytes`], [`ShardStats::full_push_bytes`],
+//! [`ShardStats::rebalance_bytes`]) are lengths of the trees' rendered
+//! compact-syntax text (`to_string().len()`), not sizes of encoded
+//! messages: nothing is serialized in-process.
 //!
 //! ## Why placement cannot change observable behaviour
 //!
@@ -37,13 +51,14 @@
 //! push dirty-check compares per-tenant digests, subscriptions and
 //! seen-tree sets are keyed by `(tenant, doc, node)`, evaluation reads
 //! the provider tenant's own documents (round-start state), and
-//! commits land in work-list order. Physical peers only decide *which
+//! commits land in work-list order (or its seeded shuffle, which is
+//! a schedule too). Physical peers only decide *which
 //! thread* evaluates a call and *what crosses the simulated wire* —
 //! so fixpoints, journals (modulo peer-lane ids), and provenance DAGs
 //! are identical for any peer count, and across a mid-run rebalance.
 //! `tests/sharded_placement.rs` pins all three properties.
 
-use crate::network::{graft_response, Peer};
+use crate::peer::{graft_response, Peer};
 use axml_core::error::{AxmlError, Result};
 use axml_core::forest::Forest;
 use axml_core::provenance::{InvocationRecord, Origin, Provenance, ProvenanceStore};
@@ -51,6 +66,9 @@ use axml_core::reduce::{canonical_key, CanonKey};
 use axml_core::sym::{FxHashMap, Sym};
 use axml_core::trace::{EventKind, Journal, MsgKind, TraceEvent, Tracer};
 use axml_core::tree::{NodeId, Tree};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -169,16 +187,16 @@ impl Ring {
     }
 }
 
-/// Per-peer placement gauges, exposed through the server's `stats`
-/// frame and Prometheus exposition (stable, name-sorted ordering).
+/// Per-peer placement gauges, reported by
+/// [`ShardedNetwork::peer_gauges`] in stable, name-sorted order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PeerGauges {
     /// Documents currently placed on (owned by) this peer.
     pub docs_placed: u64,
     /// Push messages this peer sent to remote subscribers.
     pub deltas_pushed: u64,
-    /// Payload bytes of those pushes (delta-filtered when the network
-    /// runs in delta-push mode).
+    /// Rendered-text bytes of those pushes (delta-filtered when the
+    /// network runs in delta-push mode).
     pub bytes_pushed: u64,
     /// Documents that migrated *onto* this peer during rebalances.
     pub rebalance_moves: u64,
@@ -201,24 +219,26 @@ pub struct ShardStats {
     pub local_deliveries: usize,
     /// Deliveries that crossed between peers.
     pub remote_deliveries: usize,
-    /// Bytes of remote call requests (input + context payloads).
+    /// Rendered-text bytes (`to_string().len()`) of remote call
+    /// requests' input + context trees; not an encoded message size.
     pub wire_call_bytes: usize,
-    /// Actual bytes of remote response/push payloads under the
-    /// configured propagation mode (delta-filtered trees plus stamp
-    /// overhead in delta-push mode; full forests otherwise).
+    /// Rendered-text bytes of remote response/push payloads under the
+    /// configured propagation mode: delta-filtered trees plus the
+    /// 24-byte stamp in delta-push mode, full forests otherwise. Not
+    /// an encoded message size.
     pub wire_push_bytes: usize,
-    /// Counterfactual bytes the same remote deliveries would have
-    /// cost under full-response propagation (always accumulated, so a
+    /// Rendered-text bytes the same remote deliveries would have cost
+    /// under full-response propagation (always accumulated, so a
     /// delta-push run reports its own savings).
     pub full_push_bytes: usize,
     /// Documents migrated by rebalances.
     pub rebalance_moves: usize,
-    /// Modeled bytes of those migrations (document text; the in-
-    /// process move itself is an O(1) COW handle transfer).
+    /// Rendered-text bytes of the migrated documents (the in-process
+    /// move itself is an O(1) COW handle transfer).
     pub rebalance_bytes: usize,
 }
 
-/// Modeled size of the per-document stamp a [`MsgKind::DeltaPush`]
+/// Size charged for the per-document stamp a [`MsgKind::DeltaPush`]
 /// message carries: `(id, version, mutation_count)` as three `u64`s.
 const DELTA_STAMP_BYTES: usize = 24;
 
@@ -250,6 +270,17 @@ impl Default for ShardedConfig {
     }
 }
 
+/// §2.2's two propagation views of the same data streams, which reach
+/// the same fixpoint.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Mode {
+    /// Every live call site re-requests every round; no subscriptions.
+    Pull,
+    /// A call site subscribes on its first activation; afterwards its
+    /// provider re-pushes only when the provider's documents changed.
+    Push,
+}
+
 /// A tenant-level subscription: re-deliver to this call site whenever
 /// the provider tenant's documents change. Placement-free — the same
 /// subscriptions arise for any peer count.
@@ -277,17 +308,24 @@ struct ReadyItem {
     context: Tree,
 }
 
-/// A network of physical peers hosting consistent-hash-placed tenants.
+/// A network of physical peers hosting tenants.
 ///
 /// Tenants are logical peers ([`Peer`]): named documents plus hosted
-/// services, addressed in call nodes as `@tenant.service`. The ring
-/// places each tenant whole onto one physical peer; rounds follow the
-/// flat network's push semantics at tenant granularity, with
-/// evaluation parallel across peers and delta-push propagation on the
-/// simulated wire.
+/// services, addressed in call nodes as `@tenant.service`. Built with
+/// [`ShardedNetwork::new`], a consistent-hash ring places each tenant
+/// whole onto one physical peer and rounds run in push mode in
+/// canonical commit order, with evaluation parallel across peers and
+/// delta-push propagation on the simulated wire. Built with
+/// [`ShardedNetwork::flat`], every tenant is its own physical peer and
+/// the caller picks pull or push and the commit order.
 pub struct ShardedNetwork {
     cfg: ShardedConfig,
-    ring: Ring,
+    /// `None` in the flat configuration: each tenant is pinned to a
+    /// physical peer of its own name.
+    ring: Option<Ring>,
+    mode: Mode,
+    /// Shuffles each round's commit order when set.
+    rng: Option<StdRng>,
     tenants: Vec<Peer>,
     tindex: FxHashMap<Sym, usize>,
     /// Physical peer names in join order.
@@ -305,18 +343,21 @@ pub struct ShardedNetwork {
     /// One provenance store per *tenant* — lineage is logical, so the
     /// recorded DAGs are placement-independent.
     provenance: Option<FxHashMap<Sym, ProvenanceStore>>,
-    /// Bumped by every placement change (join/leave); the sharded
-    /// termination detector voids its quiet streak when it moves.
+    /// Bumped by every placement change (join/leave); the termination
+    /// detector voids its quiet streak when it moves.
     epoch: u64,
     /// Global stats.
     pub stats: ShardStats,
 }
 
 impl ShardedNetwork {
-    /// An empty sharded network.
+    /// An empty sharded network: ring placement, push mode, canonical
+    /// commit order.
     pub fn new(cfg: ShardedConfig) -> ShardedNetwork {
         ShardedNetwork {
-            ring: Ring::new(cfg.vnodes, cfg.seed),
+            ring: Some(Ring::new(cfg.vnodes, cfg.seed)),
+            mode: Mode::Push,
+            rng: None,
             cfg,
             tenants: Vec::new(),
             tindex: FxHashMap::default(),
@@ -333,44 +374,73 @@ impl ShardedNetwork {
         }
     }
 
-    /// Add a physical peer and rebalance tenants onto it. Adding peers
+    /// An empty flat network: each tenant added is its own physical
+    /// peer, so journal lanes, gauges and wire counters are per tenant.
+    /// `mode` picks pull or push propagation; `seed` shuffles every
+    /// round's commit order (`None` keeps canonical order). Responses
+    /// ship in full and evaluation is sequential.
+    pub fn flat(mode: Mode, seed: Option<u64>) -> ShardedNetwork {
+        ShardedNetwork {
+            ring: None,
+            mode,
+            rng: seed.map(StdRng::seed_from_u64),
+            ..ShardedNetwork::new(ShardedConfig {
+                push_deltas: false,
+                parallel: false,
+                ..ShardedConfig::default()
+            })
+        }
+    }
+
+    /// The ring of a ring-placed network; join/leave are meaningless
+    /// when placement is pinned.
+    fn ring_mut(&mut self) -> &mut Ring {
+        self.ring
+            .as_mut()
+            .expect("a flat network pins each tenant to its own peer; join/leave need a ring")
+    }
+
+    /// Add a physical peer and rebalance tenants onto it (panics on a
+    /// flat network, whose placement is pinned). Adding peers
     /// before any tenants is free; afterwards, every tenant whose ring
     /// owner changes migrates (O(1) COW handle moves, counted in
     /// [`ShardStats::rebalance_moves`] / [`PeerGauges::rebalance_moves`]).
     pub fn join_peer(&mut self, name: &str) {
         let sym = Sym::intern(name);
-        if self.peers.contains(&sym) {
+        if self.ring_mut().peers().contains(&sym) {
             return;
         }
+        self.ring_mut().add_peer(sym);
         self.peers.push(sym);
         self.gauges.entry(sym).or_default();
-        self.ring.add_peer(sym);
         self.rebalance();
     }
 
     /// Remove a physical peer; its tenants migrate to their new ring
     /// owners. Removing the last peer is rejected while tenants exist.
+    /// Panics on a flat network, whose placement is pinned.
     pub fn leave_peer(&mut self, name: &str) -> Result<()> {
         let sym = Sym::intern(name);
-        if !self.peers.contains(&sym) {
+        if !self.ring_mut().peers().contains(&sym) {
             return Ok(());
         }
         if self.peers.len() == 1 && !self.tenants.is_empty() {
             return Err(AxmlError::PlacementUnderflow);
         }
         self.peers.retain(|&p| p != sym);
-        self.ring.remove_peer(sym);
+        self.ring_mut().remove_peer(sym);
         self.rebalance();
         Ok(())
     }
 
     /// Recompute tenant → peer placement from the ring, counting moves
-    /// and modeled migration bytes. Bumps the placement epoch when
+    /// and migrated rendered-text bytes. Bumps the placement epoch when
     /// anything actually moved (or on first placement).
     fn rebalance(&mut self) {
+        let Some(ring) = &self.ring else { return };
         let mut changed = false;
         for t in &self.tenants {
-            let Some(new_owner) = self.ring.owner(t.name.as_str()) else {
+            let Some(new_owner) = ring.owner(t.name.as_str()) else {
                 continue;
             };
             let old = self.placement.insert(t.name, new_owner);
@@ -378,8 +448,8 @@ impl ShardedNetwork {
                 changed = true;
                 if old.is_some() {
                     // A real migration: the documents move as O(1)
-                    // persistent-tree handles; the wire model charges
-                    // their rendered size.
+                    // persistent-tree handles; the counters charge
+                    // their rendered-text size.
                     let docs = t.doc_names().len();
                     self.stats.rebalance_moves += docs;
                     let g = self.gauges.entry(new_owner).or_default();
@@ -398,18 +468,24 @@ impl ShardedNetwork {
     }
 
     /// Register a tenant (a logical peer) and get a handle to populate
-    /// it. The tenant is placed on the ring immediately; at least one
-    /// physical peer must have joined first.
+    /// it. On a ring the tenant is placed immediately, and at least one
+    /// physical peer must have joined first; a flat network creates
+    /// the tenant's own physical peer.
     pub fn add_tenant(&mut self, name: &str) -> &mut Peer {
-        assert!(
-            !self.peers.is_empty(),
-            "join at least one peer before adding tenants"
-        );
         let sym = Sym::intern(name);
+        let owner = match &self.ring {
+            Some(ring) => ring
+                .owner(sym.as_str())
+                .expect("join at least one peer before adding tenants"),
+            None => {
+                self.peers.push(sym);
+                self.gauges.entry(sym).or_default();
+                sym
+            }
+        };
         let idx = self.tenants.len();
         self.tenants.push(Peer::new(sym));
         self.tindex.insert(sym, idx);
-        let owner = self.ring.owner(sym.as_str()).expect("ring is non-empty");
         self.placement.insert(sym, owner);
         &mut self.tenants[idx]
     }
@@ -437,8 +513,8 @@ impl ShardedNetwork {
     }
 
     /// The placement epoch: bumped by every join/leave that moved a
-    /// tenant. The sharded termination detector restarts its quiet
-    /// streak when this changes between waves.
+    /// tenant. The termination detector restarts its quiet streak when
+    /// this changes between waves.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -549,11 +625,11 @@ impl ShardedNetwork {
         self.stats.rounds += 1;
 
         // ── Gather ─────────────────────────────────────────────────
-        // Work arises exactly as in the flat network's push mode, but
-        // at tenant granularity: unsubscribed call nodes always fire
-        // (and subscribe); subscribed sites re-fire iff their provider
-        // tenant's digest moved. Tenant registration order makes the
-        // list canonical — the same for every placement.
+        // Unsubscribed call nodes always fire; pull mode never
+        // subscribes, so there that is every live call site. In push
+        // mode they subscribe, and subscribed sites re-fire iff their
+        // provider tenant's digest moved. Tenant registration order
+        // makes the list canonical — the same for every placement.
         let mut raw: Vec<(Sym, Sym, NodeId, Sym, Sym, bool)> = Vec::new();
         for t in &self.tenants {
             for (d, n, f) in t.function_nodes() {
@@ -583,6 +659,9 @@ impl ShardedNetwork {
             .iter()
             .map(|t| (t.name, t.digest()))
             .collect();
+        if let Some(rng) = self.rng.as_mut() {
+            raw.shuffle(rng);
+        }
 
         // ── Resolve + freeze arguments (round-start state) ─────────
         let mut items: Vec<ReadyItem> = Vec::new();
@@ -724,7 +803,7 @@ impl ShardedNetwork {
                 self.stats.local_deliveries += 1;
             }
 
-            if item.fresh {
+            if item.fresh && self.mode == Mode::Push {
                 let sub = ShardSub {
                     tenant: item.caller,
                     doc: item.doc,
@@ -737,8 +816,8 @@ impl ShardedNetwork {
                 }
             }
 
-            // Caller-side delivery: the same graft/subsume/reduce
-            // primitive as the flat network, stamping lineage into the
+            // Caller-side delivery: the graft/subsume/reduce primitive
+            // the threaded runtime also uses, stamping lineage into the
             // caller *tenant's* store.
             let caller_prov = stores
                 .and_then(|m| m.get(&item.caller))
@@ -836,21 +915,24 @@ impl ShardedNetwork {
         self.round()
     }
 
-    /// Oracle quiescence check: unsubscribed call sites are pending
-    /// work even if the last round was quiet.
+    /// Oracle quiescence check: in push mode, unsubscribed call sites
+    /// are pending work even if the last round was quiet. A pull round
+    /// fires every call site, so a quiet one leaves nothing pending.
     pub fn no_pending_work(&self) -> bool {
-        self.tenants.iter().all(|t| {
-            t.function_nodes().iter().all(|(d, n, _)| {
-                self.subs
-                    .iter()
-                    .any(|s| s.tenant == t.name && s.doc == *d && s.node == *n)
+        self.mode == Mode::Pull
+            || self.tenants.iter().all(|t| {
+                t.function_nodes().iter().all(|(d, n, _)| {
+                    self.subs
+                        .iter()
+                        .any(|s| s.tenant == t.name && s.doc == *d && s.node == *n)
+                })
             })
-        })
     }
 
     /// Canonical key of the whole network state, `(tenant, doc, key)`
-    /// sorted — directly comparable with [`crate::Network::canonical_key`]
-    /// when tenants mirror flat peers.
+    /// sorted — comparable across placements, modes and commit orders,
+    /// and with [`crate::ThreadedOutcome::canonical_key`] when threaded
+    /// peers mirror the tenants.
     pub fn canonical_key(&self) -> Vec<(Sym, Sym, CanonKey)> {
         let mut out = Vec::new();
         for t in &self.tenants {
@@ -864,8 +946,8 @@ impl ShardedNetwork {
         out
     }
 
-    /// Per-tenant change indicator for the sharded termination
-    /// detector: the canonical keys of one tenant's documents.
+    /// Per-tenant change indicator for the termination detector: the
+    /// canonical keys of one tenant's documents.
     pub fn tenant_state_key(&self, tenant: Sym) -> Vec<(Sym, CanonKey)> {
         self.tenants[self.tindex[&tenant]].digest()
     }
@@ -874,7 +956,7 @@ impl ShardedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{Mode, Network};
+    use axml_core::subsume::equivalent;
 
     fn ring_of(names: &[&str], vnodes: u32, seed: u64) -> Ring {
         let mut r = Ring::new(vnodes, seed);
@@ -999,44 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_the_flat_network() {
-        // One flat peer per tenant runs the *same document text*.
-        let mut flat = Network::new(Mode::Push, None);
-        for k in 0..3 {
-            let (p, c) = (format!("prod-{k}"), format!("cons-{k}"));
-            let producer = flat.add_peer(&p);
-            producer
-                .add_document_text(
-                    "acc",
-                    &format!(
-                        r#"r{{t{{from{{"1"}},to{{"2"}}}}, t{{from{{"2"}},to{{"3"}}}}, t{{from{{"3"}},to{{"4"}}}}, @{p}.join}}"#
-                    ),
-                )
-                .unwrap();
-            producer
-                .add_service_text(
-                    "join",
-                    "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$z}}, t{from{$z},to{$y}}}",
-                )
-                .unwrap();
-            producer
-                .add_service_text(
-                    "feed",
-                    "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$y}}}",
-                )
-                .unwrap();
-            let consumer = flat.add_peer(&c);
-            consumer
-                .add_document_text("inbox", &format!("box{{@{p}.feed}}"))
-                .unwrap();
-        }
-        assert!(flat.run(100).unwrap());
-        let mut net = sharded(2, true);
-        assert!(net.run(100).unwrap());
-        assert_eq!(net.canonical_key(), flat.canonical_key());
-    }
-
-    #[test]
     fn mid_run_join_rebalances_without_changing_the_fixpoint() {
         let mut reference = sharded(2, true);
         assert!(reference.run(100).unwrap());
@@ -1095,5 +1139,107 @@ mod tests {
         assert_eq!(names, sorted, "name-sorted ordering");
         let placed: u64 = gauges.iter().map(|(_, g)| g.docs_placed).sum();
         assert_eq!(placed, 6, "3 pairs × 2 docs, all placed");
+    }
+
+    /// Two flat peers: a portal pulling titles from a store.
+    fn portal_network(mode: Mode) -> ShardedNetwork {
+        let mut net = ShardedNetwork::flat(mode, None);
+        let store = net.add_tenant("store");
+        store
+            .add_document_text("cds", r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#)
+            .unwrap();
+        store
+            .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
+            .unwrap();
+        let portal = net.add_tenant("portal");
+        portal
+            .add_document_text("dir", "directory{@store.titles}")
+            .unwrap();
+        net
+    }
+
+    #[test]
+    fn pull_mode_collects_remote_data() {
+        let mut net = portal_network(Mode::Pull);
+        assert!(net.run(100).unwrap());
+        let dir = net.tenant("portal").unwrap().doc("dir").unwrap();
+        let expected = axml_core::parse::parse_tree(
+            r#"directory{@store.titles, t{"Body and Soul"}, t{"So What"}}"#,
+        )
+        .unwrap();
+        assert!(equivalent(dir, &expected), "got {dir}");
+        // Each flat tenant is its own physical peer.
+        assert_eq!(net.owner_of("portal"), Some(Sym::intern("portal")));
+        assert_eq!(net.peer_names().len(), 2);
+    }
+
+    #[test]
+    fn push_mode_sends_fewer_messages_on_stable_data() {
+        let mut pull = portal_network(Mode::Pull);
+        let mut push = portal_network(Mode::Push);
+        // Several extra rounds model continued polling.
+        for _ in 0..5 {
+            pull.step_round().unwrap();
+            push.step_round().unwrap();
+        }
+        assert_eq!(pull.canonical_key(), push.canonical_key());
+        assert!(
+            push.stats.calls_sent < pull.stats.calls_sent,
+            "push {} vs pull {}",
+            push.stats.calls_sent,
+            pull.stats.calls_sent
+        );
+    }
+
+    #[test]
+    fn journal_lanes_are_flat_peers() {
+        let mut net = portal_network(Mode::Pull);
+        net.enable_tracing();
+        assert!(net.run(100).unwrap());
+        let events = net.take_journal();
+        let store = Sym::intern("store");
+        let portal = Sym::intern("portal");
+        // The portal called the store and got a response back.
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::MsgSend { from, to, kind: MsgKind::Call }
+                if from == portal && to == store
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::MsgSend { from, to, kind: MsgKind::Response }
+                if from == store && to == portal
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::PeerEval { peer, .. } if peer == store
+        )));
+        // Rounds bracket the traffic, and the final round is quiet.
+        assert!(matches!(events[0].kind, EventKind::RoundStart { round: 0 }));
+        let last_end = events.iter().rev().find_map(|e| match e.kind {
+            EventKind::RoundEnd { changed, .. } => Some(changed),
+            _ => None,
+        });
+        assert_eq!(last_end, Some(false));
+        // Tracing detaches with the journal; untraced runs record nothing.
+        assert!(net.take_journal().is_empty());
+        let mut plain = portal_network(Mode::Pull);
+        plain.run(100).unwrap();
+        assert!(plain.take_journal().is_empty());
+    }
+
+    #[test]
+    fn unknown_peer_errors() {
+        let mut net = ShardedNetwork::flat(Mode::Pull, None);
+        net.add_tenant("solo")
+            .add_document_text("d", "a{@ghost.svc}")
+            .unwrap();
+        assert!(net.run(10).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "join/leave need a ring")]
+    fn flat_placement_is_pinned() {
+        portal_network(Mode::Push).join_peer("extra");
     }
 }

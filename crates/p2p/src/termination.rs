@@ -10,12 +10,13 @@
 //! in between** — one quiet wave is not enough, because a message in
 //! flight between waves can reactivate an already-polled peer (the
 //! classical laggard problem the two-phase scheme exists for).
+//!
+//! The same detector is sound under mid-run rebalancing: a placement
+//! epoch change between waves voids the quiet streak (see
+//! [`detect_termination`]).
 
-use crate::network::Network;
 use crate::placement::ShardedNetwork;
 use axml_core::error::Result;
-use axml_core::reduce::CanonKey;
-use axml_core::sym::Sym;
 
 /// The detector's verdict for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,54 +32,20 @@ pub enum Verdict {
     Undecided,
 }
 
-/// Digest of every peer's state.
-fn poll_wave(net: &Network) -> Vec<(Sym, Vec<(Sym, CanonKey)>)> {
-    net.peer_names()
-        .into_iter()
-        .map(|p| (p, net.peer_state_key(p)))
-        .collect()
-}
-
 /// Drive the network one round at a time, interleaving polling waves,
 /// until the detector announces termination or `max_rounds` pass.
-pub fn detect_termination(net: &mut Network, max_rounds: usize) -> Result<Verdict> {
-    let mut prev_digest = None;
-    for round in 0..max_rounds {
-        let changed = net.step_round()?;
-        let digest = poll_wave(net);
-        if !changed && prev_digest.as_ref() == Some(&digest) {
-            // Second consecutive quiet wave with identical digests.
-            // One polling wave runs per round, so the counts coincide.
-            return Ok(Verdict::Terminated {
-                rounds: round + 1,
-                waves: round + 1,
-            });
-        }
-        prev_digest = if changed { None } else { Some(digest) };
-    }
-    Ok(Verdict::Undecided)
-}
-
-/// Digest of every tenant's state on a sharded network. Tenant-level,
-/// so the digest is placement-independent — a wave taken before and
-/// after a rebalance of *unchanged* documents reads the same.
-fn poll_wave_sharded(net: &ShardedNetwork) -> Vec<(Sym, Vec<(Sym, CanonKey)>)> {
-    net.tenant_names()
-        .into_iter()
-        .map(|t| (t, net.tenant_state_key(t)))
-        .collect()
-}
-
-/// [`detect_termination`] for a [`ShardedNetwork`], sound under
-/// mid-run rebalancing: `hook` runs before every round (the test/
-/// experiment harness uses it to join or remove peers), and any
+///
+/// Each wave digests every tenant's state. Digests are tenant-level, so
+/// a wave taken before and after a rebalance of *unchanged* documents
+/// reads the same. `hook` runs before every round (harnesses use it to
+/// join or remove peers; pass `|_, _| {}` for none), and any
 /// placement-epoch movement **voids the quiet streak**. The void is
 /// what keeps the two-phase argument intact — a migration re-homes
 /// in-flight deliveries, so a wave observed across one is not evidence
 /// that the system was quiet *at a single placement*; the detector
 /// must re-establish two quiet waves inside the new epoch before it
 /// may announce.
-pub fn detect_termination_sharded_with(
+pub fn detect_termination(
     net: &mut ShardedNetwork,
     max_rounds: usize,
     mut hook: impl FnMut(&mut ShardedNetwork, usize),
@@ -88,13 +55,18 @@ pub fn detect_termination_sharded_with(
     for round in 0..max_rounds {
         hook(net, round);
         let changed = net.step_round()?;
-        let digest = poll_wave_sharded(net);
+        let digest: Vec<_> = net
+            .tenant_names()
+            .into_iter()
+            .map(|t| (t, net.tenant_state_key(t)))
+            .collect();
         let epoch = net.epoch();
         let quiet = !changed
             && epoch == prev_epoch
             && prev_digest.as_ref() == Some(&digest)
             && net.no_pending_work();
         if quiet {
+            // One polling wave runs per round, so the counts coincide.
             return Ok(Verdict::Terminated {
                 rounds: round + 1,
                 waves: round + 1,
@@ -110,22 +82,16 @@ pub fn detect_termination_sharded_with(
     Ok(Verdict::Undecided)
 }
 
-/// [`detect_termination_sharded_with`] without a rebalance schedule.
-pub fn detect_termination_sharded(
-    net: &mut ShardedNetwork,
-    max_rounds: usize,
-) -> Result<Verdict> {
-    detect_termination_sharded_with(net, max_rounds, |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Mode;
+    use crate::placement::Mode;
 
-    fn tc_network() -> Network {
-        let mut net = Network::new(Mode::Pull, None);
-        let store = net.add_peer("store");
+    fn no_hook(_: &mut ShardedNetwork, _: usize) {}
+
+    fn tc_network() -> ShardedNetwork {
+        let mut net = ShardedNetwork::flat(Mode::Pull, None);
+        let store = net.add_tenant("store");
         store
             .add_document_text(
                 "edges",
@@ -135,7 +101,7 @@ mod tests {
         store
             .add_service_text("base", "t{from{$x},to{$y}} :- edges/r{t{from{$x},to{$y}}}")
             .unwrap();
-        let portal = net.add_peer("portal");
+        let portal = net.add_tenant("portal");
         portal
             .add_document_text("acc", "r{@store.base, @portal.join}")
             .unwrap();
@@ -151,7 +117,7 @@ mod tests {
     #[test]
     fn detector_agrees_with_oracle() {
         let mut net = tc_network();
-        let verdict = detect_termination(&mut net, 200).unwrap();
+        let verdict = detect_termination(&mut net, 200, no_hook).unwrap();
         match verdict {
             Verdict::Terminated { rounds, waves } => {
                 assert!(rounds >= 2);
@@ -166,11 +132,11 @@ mod tests {
     #[test]
     fn detector_stays_undecided_on_divergent_networks() {
         // Example 2.1 hosted on a peer calling itself.
-        let mut net = Network::new(Mode::Pull, None);
-        let p = net.add_peer("p");
+        let mut net = ShardedNetwork::flat(Mode::Pull, None);
+        let p = net.add_tenant("p");
         p.add_document_text("d", "a{@p.f}").unwrap();
         p.add_service_text("f", "a{@p.f} :-").unwrap();
-        let verdict = detect_termination(&mut net, 15).unwrap();
+        let verdict = detect_termination(&mut net, 15, no_hook).unwrap();
         assert_eq!(verdict, Verdict::Undecided);
     }
 
@@ -213,7 +179,7 @@ mod tests {
     #[test]
     fn sharded_detector_agrees_with_oracle() {
         let mut net = sharded_pair_net(2);
-        let verdict = detect_termination_sharded(&mut net, 200).unwrap();
+        let verdict = detect_termination(&mut net, 200, no_hook).unwrap();
         match verdict {
             Verdict::Terminated { rounds, .. } => {
                 assert!(rounds >= 2);
@@ -228,7 +194,7 @@ mod tests {
         // Baseline: how many rounds without any rebalance.
         let mut base = sharded_pair_net(2);
         let Verdict::Terminated { rounds: base_rounds, .. } =
-            detect_termination_sharded(&mut base, 200).unwrap()
+            detect_termination(&mut base, 200, no_hook).unwrap()
         else {
             panic!("baseline undecided");
         };
@@ -238,13 +204,12 @@ mod tests {
         // least one extra quiet wave inside the new placement.
         let join_at = base_rounds - 1;
         let mut net = sharded_pair_net(2);
-        let verdict =
-            detect_termination_sharded_with(&mut net, 200, |n, round| {
-                if round == join_at {
-                    n.join_peer("late");
-                }
-            })
-            .unwrap();
+        let verdict = detect_termination(&mut net, 200, |n, round| {
+            if round == join_at {
+                n.join_peer("late");
+            }
+        })
+        .unwrap();
         match verdict {
             Verdict::Terminated { rounds, .. } => {
                 assert!(
@@ -264,18 +229,18 @@ mod tests {
         // A chain a→b→c: after c's data lands at b there is a quiet-ish
         // wave at a before b's enriched answer reaches it. The detector
         // must not fire on the first quiet observation.
-        let mut net = Network::new(Mode::Pull, None);
-        let c = net.add_peer("c");
+        let mut net = ShardedNetwork::flat(Mode::Pull, None);
+        let c = net.add_tenant("c");
         c.add_document_text("base", r#"r{v{"1"}}"#).unwrap();
         c.add_service_text("get", "w{$x} :- base/r{v{$x}}").unwrap();
-        let b = net.add_peer("b");
+        let b = net.add_tenant("b");
         b.add_document_text("mid", "m{@c.get}").unwrap();
         b.add_service_text("relay", "got{$x} :- mid/m{w{$x}}").unwrap();
-        let a = net.add_peer("a");
+        let a = net.add_tenant("a");
         a.add_document_text("out", "o{@b.relay}").unwrap();
-        let verdict = detect_termination(&mut net, 100).unwrap();
+        let verdict = detect_termination(&mut net, 100, no_hook).unwrap();
         assert!(matches!(verdict, Verdict::Terminated { .. }));
-        let out = net.peer("a").unwrap().doc("out").unwrap();
+        let out = net.tenant("a").unwrap().doc("out").unwrap();
         let expected =
             axml_core::parse::parse_tree(r#"o{@b.relay, got{"1"}}"#).unwrap();
         assert!(axml_core::subsume::equivalent(out, &expected), "got {out}");

@@ -1,17 +1,18 @@
 //! Truly concurrent peers: each peer runs on its own OS thread and
 //! exchanges AXML messages over channels.
 //!
-//! The round-based [`crate::network`] simulator is deterministic; this
-//! module removes that crutch. Peers pull concurrently, interleave
-//! arbitrarily, and a coordinator detects global quiescence with a
-//! double-wave protocol (digests stable *and* the network's global
-//! sent/received counters balanced across two consecutive polls — the
-//! classical guard against in-flight laggards). Theorem 2.1 predicts
-//! that, despite the nondeterminism, the final state equals the
-//! deterministic simulator's fixpoint — which is exactly what the tests
-//! assert, across many runs.
+//! The round driver ([`crate::placement::ShardedNetwork`]) is
+//! deterministic; this module removes that crutch. Peers pull
+//! concurrently, interleave arbitrarily, and a coordinator detects
+//! global quiescence with a double-wave protocol (digests stable *and*
+//! the network's global sent/received counters balanced across two
+//! consecutive polls — the classical guard against in-flight
+//! laggards). Theorem 2.1 predicts that, despite the nondeterminism,
+//! the final state equals the round driver's fixpoint — which is
+//! exactly what the tests (and `tests/p2p_oracle.rs`, against the
+//! paper-verbatim engine) assert, across many runs.
 
-use crate::network::Peer;
+use crate::peer::{Peer, PeerSnapshot};
 use axml_core::engine::Parallelism;
 use axml_core::error::{AxmlError, Result};
 use axml_core::forest::Forest;
@@ -88,18 +89,25 @@ struct PollReply {
     snapshot_reuses: u64,
 }
 
-/// Configuration for the threaded runtime ([`run_threaded_config`]).
+/// Configuration for the threaded runtime ([`run_threaded`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedConfig {
     /// Polling waves before the coordinator gives up on quiescence.
     pub max_waves: usize,
-    /// Keep a per-peer event [`Journal`] (see [`run_threaded_traced`]).
+    /// Keep a per-peer event [`Journal`] of message traffic and service
+    /// evaluations, shipped back in [`ThreadedOutcome::journals`] at
+    /// shutdown (journals are per-peer — no cross-thread sink, no
+    /// contention on the hot path).
     pub trace: bool,
-    /// Keep a per-peer [`ProvenanceStore`] (see [`run_threaded_full`]).
+    /// Keep a per-peer [`ProvenanceStore`]: documents stamped as seed
+    /// data up front, every served `Call` logged as an
+    /// [`InvocationRecord`] whose seq rides the `Response`, and every
+    /// delivered response's grafted nodes stamped [`Origin::Remote`] —
+    /// shipped back in [`ThreadedOutcome::provenance`] at shutdown.
     pub provenance: bool,
     /// How each peer evaluates a batch of simultaneously-pending
     /// incoming calls: the peer freezes one O(1)
-    /// [`crate::network::PeerSnapshot`] per batch, and with
+    /// [`PeerSnapshot`] per batch, and with
     /// [`Parallelism::Workers`]`(n)` drains every queued `Call` and
     /// evaluates them on `n` worker threads against that snapshot,
     /// then sends the responses sequentially in arrival order — the
@@ -140,12 +148,12 @@ pub struct ThreadedOutcome {
     pub peers: FxHashMap<Sym, Peer>,
     /// Run statistics.
     pub stats: ThreadedStats,
-    /// Per-peer event journals ([`run_threaded_traced`] with tracing
-    /// on; empty otherwise). Each peer stamps its own events, so
+    /// Per-peer event journals ([`ThreadedConfig::trace`] on; empty
+    /// otherwise). Each peer stamps its own events, so
     /// ordering is meaningful per peer, not across peers.
     pub journals: FxHashMap<Sym, Vec<TraceEvent>>,
-    /// Per-peer provenance stores ([`run_threaded_full`] with
-    /// provenance on; empty otherwise). A node stamped
+    /// Per-peer provenance stores ([`ThreadedConfig::provenance`] on;
+    /// empty otherwise). A node stamped
     /// [`Origin::Remote`] on one peer resolves through the *provider
     /// peer's* store via the origin's `seq`.
     pub provenance: FxHashMap<Sym, ProvenanceStore>,
@@ -153,7 +161,7 @@ pub struct ThreadedOutcome {
 
 impl ThreadedOutcome {
     /// Canonical key of the final network state (for comparisons with
-    /// the deterministic simulator).
+    /// the round driver's [`crate::ShardedNetwork::canonical_key`]).
     pub fn canonical_key(&self) -> Vec<(Sym, Sym, CanonKey)> {
         let mut out = Vec::new();
         for (name, peer) in &self.peers {
@@ -167,56 +175,14 @@ impl ThreadedOutcome {
 }
 
 /// Run the given peers concurrently (pull mode) until the coordinator
-/// detects global quiescence or `max_waves` polls pass.
-pub fn run_threaded(peers: Vec<Peer>, max_waves: usize) -> Result<ThreadedOutcome> {
-    run_threaded_traced(peers, max_waves, false)
-}
-
-/// [`run_threaded`] with optional tracing: when `trace` is on, each
-/// peer thread keeps a local [`Journal`] of its message traffic and
-/// service evaluations, shipped back in
-/// [`ThreadedOutcome::journals`] at shutdown (journals are per-peer —
-/// no cross-thread sink, no contention on the hot path).
-pub fn run_threaded_traced(
-    peers: Vec<Peer>,
-    max_waves: usize,
-    trace: bool,
-) -> Result<ThreadedOutcome> {
-    run_threaded_full(peers, max_waves, trace, false)
-}
-
-/// [`run_threaded_traced`] with optional provenance: when `provenance`
-/// is on, each peer thread keeps a local [`ProvenanceStore`] — its
-/// documents stamped as seed data up front, every served `Call` logged
-/// as an [`InvocationRecord`] whose seq rides the `Response`, and every
-/// delivered response's grafted nodes stamped [`Origin::Remote`] — all
-/// shipped back in [`ThreadedOutcome::provenance`] at shutdown.
-pub fn run_threaded_full(
-    peers: Vec<Peer>,
-    max_waves: usize,
-    trace: bool,
-    provenance: bool,
-) -> Result<ThreadedOutcome> {
-    run_threaded_config(
-        peers,
-        ThreadedConfig {
-            max_waves,
-            trace,
-            provenance,
-            parallelism: Parallelism::default(),
-        },
-    )
-}
-
-/// The fully-configurable entry point: [`run_threaded_full`] plus the
-/// per-peer [`Parallelism`] knob (see [`ThreadedConfig`]).
-pub fn run_threaded_config(peers: Vec<Peer>, cfg: ThreadedConfig) -> Result<ThreadedOutcome> {
+/// detects global quiescence or `cfg.max_waves` polls pass.
+pub fn run_threaded(peers: Vec<Peer>, cfg: &ThreadedConfig) -> Result<ThreadedOutcome> {
     let ThreadedConfig {
         max_waves,
         trace,
         provenance,
         parallelism,
-    } = cfg;
+    } = *cfg;
     let names: Vec<Sym> = peers.iter().map(|p| p.name).collect();
     let mut senders: FxHashMap<Sym, Sender<Msg>> = FxHashMap::default();
     let mut receivers: Vec<(Peer, Receiver<Msg>)> = Vec::new();
@@ -381,7 +347,7 @@ fn peer_loop(
     // exactly equal to the live state whenever it exists. A whole
     // push-propagation wave of batches between commits then freezes
     // once instead of once per batch.
-    let mut frozen: Option<crate::network::PeerSnapshot> = None;
+    let mut frozen: Option<PeerSnapshot> = None;
     let mut snapshot_freezes = 0u64;
     let mut snapshot_reuses = 0u64;
     loop {
@@ -689,16 +655,6 @@ fn split_qualified(qualified: Sym) -> Option<(Sym, Sym)> {
     Some((Sym::intern(peer), Sym::intern(svc)))
 }
 
-/// Convenience: build peers with a closure and run them.
-pub fn run_with(
-    build: impl FnOnce(&mut Vec<Peer>),
-    max_waves: usize,
-) -> Result<ThreadedOutcome> {
-    let mut peers = Vec::new();
-    build(&mut peers);
-    run_threaded(peers, max_waves)
-}
-
 /// Create a standalone peer (for [`run_threaded`]).
 pub fn standalone_peer(name: &str) -> Peer {
     Peer::new(Sym::intern(name))
@@ -707,72 +663,65 @@ pub fn standalone_peer(name: &str) -> Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{Mode, Network};
+    use crate::placement::{Mode, ShardedNetwork};
 
-    fn build_peers() -> Vec<Peer> {
-        let mut store = standalone_peer("store");
-        store
-            .add_document_text(
-                "cds",
-                r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-            )
-            .unwrap();
-        store
-            .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-            .unwrap();
-        let mut hub = standalone_peer("hub");
-        hub.add_document_text("feed", "feed{@store.titles}").unwrap();
-        hub.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}").unwrap();
-        let mut portal = standalone_peer("portal");
-        portal.add_document_text("page", "page{@hub.relay}").unwrap();
-        vec![store, hub, portal]
+    /// Fill a peer by name: `store` serves titles, `hub` relays them,
+    /// `portal` reads the hub, any other name reads the store.
+    fn populate(p: &mut Peer) {
+        match p.name.as_str() {
+            "store" => {
+                p.add_document_text(
+                    "cds",
+                    r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
+                )
+                .unwrap();
+                p.add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
+                    .unwrap();
+            }
+            "hub" => {
+                p.add_document_text("feed", "feed{@store.titles}").unwrap();
+                p.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}").unwrap();
+            }
+            "portal" => p.add_document_text("page", "page{@hub.relay}").unwrap(),
+            _ => p.add_document_text("page", "page{@store.titles}").unwrap(),
+        }
     }
 
-    fn reference_key() -> Vec<(Sym, Sym, CanonKey)> {
-        let mut net = Network::new(Mode::Pull, None);
-        {
-            let p = net.add_peer("store");
-            p.add_document_text(
-                "cds",
-                r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-            )
-            .unwrap();
-            p.add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                .unwrap();
+    const CHAIN: &[&str] = &["store", "hub", "portal"];
+
+    fn peers(names: &[&str]) -> Vec<Peer> {
+        names
+            .iter()
+            .map(|n| {
+                let mut p = standalone_peer(n);
+                populate(&mut p);
+                p
+            })
+            .collect()
+    }
+
+    /// The round driver's fixpoint over the same peers.
+    fn reference_key(names: &[&str]) -> Vec<(Sym, Sym, CanonKey)> {
+        let mut net = ShardedNetwork::flat(Mode::Pull, None);
+        for n in names {
+            populate(net.add_tenant(n));
         }
-        {
-            let p = net.add_peer("hub");
-            p.add_document_text("feed", "feed{@store.titles}").unwrap();
-            p.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}").unwrap();
-        }
-        {
-            let p = net.add_peer("portal");
-            p.add_document_text("page", "page{@hub.relay}").unwrap();
-        }
-        net.run(100).unwrap();
+        assert!(net.run(100).unwrap());
         net.canonical_key()
     }
 
-    #[test]
-    fn threaded_run_matches_deterministic_simulator() {
-        let reference = reference_key();
-        // Several runs: thread interleavings differ, the fixpoint must not.
-        for attempt in 0..3 {
-            let out = run_threaded(build_peers(), 2_000)
-                .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
-            assert_eq!(
-                out.canonical_key(),
-                reference,
-                "attempt {attempt}: threaded fixpoint differs"
-            );
-            assert!(out.stats.messages >= 2);
+    fn traced() -> ThreadedConfig {
+        ThreadedConfig {
+            trace: true,
+            ..ThreadedConfig::default()
         }
     }
 
     #[test]
     fn batch_snapshots_are_reused_until_a_commit_intervenes() {
-        let out = run_threaded(build_peers(), 2_000).unwrap();
-        assert_eq!(out.canonical_key(), reference_key());
+        let out = run_threaded(peers(CHAIN), &ThreadedConfig::default()).unwrap();
+        assert_eq!(out.canonical_key(), reference_key(CHAIN));
+        assert!(out.stats.messages >= 2);
         // Freezes happen (batches were served)…
         assert!(
             out.stats.snapshot_freezes >= 1,
@@ -792,8 +741,8 @@ mod tests {
 
     #[test]
     fn traced_run_ships_per_peer_journals() {
-        let out = run_threaded_traced(build_peers(), 2_000, true).unwrap();
-        assert_eq!(out.canonical_key(), reference_key());
+        let out = run_threaded(peers(CHAIN), &traced()).unwrap();
+        assert_eq!(out.canonical_key(), reference_key(CHAIN));
         // Every peer shipped a journal; the provider logged evaluations
         // and the callers logged their pulls.
         assert_eq!(out.journals.len(), 3);
@@ -814,13 +763,13 @@ mod tests {
             assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         }
         // Untraced runs ship no journals.
-        let plain = run_threaded(build_peers(), 2_000).unwrap();
+        let plain = run_threaded(peers(CHAIN), &ThreadedConfig::default()).unwrap();
         assert!(plain.journals.is_empty());
     }
 
     #[test]
     fn trace_ids_reconstruct_a_pull_across_peer_journals() {
-        let out = run_threaded_traced(build_peers(), 2_000, true).unwrap();
+        let out = run_threaded(peers(CHAIN), &traced()).unwrap();
         let hub = &out.journals[&Sym::intern("hub")];
         let store = &out.journals[&Sym::intern("store")];
         // Pick one of hub's pulls of the store: its Call send carries a
@@ -865,50 +814,12 @@ mod tests {
     fn parallel_peer_evaluation_matches_sequential_fixpoint() {
         // A star: many callers pull the same provider, so the provider
         // thread actually accumulates call batches for its worker pool.
-        fn star_peers() -> Vec<Peer> {
-            let mut store = standalone_peer("store");
-            store
-                .add_document_text(
-                    "cds",
-                    r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-                )
-                .unwrap();
-            store
-                .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                .unwrap();
-            let mut peers = vec![store];
-            for i in 0..4 {
-                let mut caller = standalone_peer(&format!("caller{i}"));
-                caller
-                    .add_document_text("page", "page{@store.titles}")
-                    .unwrap();
-                peers.push(caller);
-            }
-            peers
-        }
-        let reference = {
-            let mut net = Network::new(Mode::Pull, None);
-            {
-                let p = net.add_peer("store");
-                p.add_document_text(
-                    "cds",
-                    r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-                )
-                .unwrap();
-                p.add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                    .unwrap();
-            }
-            for i in 0..4 {
-                let p = net.add_peer(&format!("caller{i}"));
-                p.add_document_text("page", "page{@store.titles}").unwrap();
-            }
-            net.run(100).unwrap();
-            net.canonical_key()
-        };
+        let star = ["store", "caller0", "caller1", "caller2", "caller3"];
+        let reference = reference_key(&star);
         for n in [1, 2, 4] {
-            let out = run_threaded_config(
-                star_peers(),
-                ThreadedConfig {
+            let out = run_threaded(
+                peers(&star),
+                &ThreadedConfig {
                     parallelism: Parallelism::Workers(n),
                     ..ThreadedConfig::default()
                 },
@@ -926,7 +837,7 @@ mod tests {
     fn quiescence_detected_promptly_on_static_network() {
         let mut solo = standalone_peer("solo");
         solo.add_document_text("d", r#"a{"static"}"#).unwrap();
-        let out = run_threaded(vec![solo], 2_000).unwrap();
+        let out = run_threaded(vec![solo], &ThreadedConfig::default()).unwrap();
         assert_eq!(out.stats.messages, 0);
         assert!(out.stats.waves >= 2);
     }

@@ -5,7 +5,7 @@
 //!             [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]
 //!             [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]
 //!             [--metrics-addr HOST:PORT] [--journal-capacity N]
-//!             [--journal-sample CAT=N] [--peers N] [--version]
+//!             [--journal-sample CAT=N] [--version]
 //! ```
 //!
 //! Speaks protocol v1 (`docs/protocol.md`); `docs/server.md` is the
@@ -15,10 +15,7 @@
 //! listener serving Prometheus text exposition; `--journal-capacity`
 //! sizes the observability ring (0 = unbounded, the test mode);
 //! `--journal-sample CAT=N` keeps one event in `N` for a category
-//! (repeatable, e.g. `--journal-sample cache=16`); `--peers N`
-//! consistent-hashes sessions onto `N` virtual placement peers and
-//! exposes per-peer gauges via `stats` and the metrics page (see
-//! `docs/sharding.md`).
+//! (repeatable, e.g. `--journal-sample cache=16`).
 
 use axml_core::engine::EngineMode;
 use axml_core::trace::EventCategory;
@@ -31,7 +28,7 @@ fn usage() -> ! {
          \x20                  [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]\n\
          \x20                  [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]\n\
          \x20                  [--metrics-addr HOST:PORT] [--journal-capacity N]\n\
-         \x20                  [--journal-sample CAT=N] [--peers N] [--version]"
+         \x20                  [--journal-sample CAT=N] [--version]"
     );
     std::process::exit(2)
 }
@@ -76,7 +73,6 @@ fn main() {
             "--trace" => trace_file = Some(val("--trace")),
             "--report" => report = true,
             "--metrics-addr" => cfg.metrics_addr = Some(val("--metrics-addr")),
-            "--peers" => cfg.peers = parse(&val("--peers")),
             "--journal-capacity" => {
                 // 0 lifts the bound (the unbounded test mode).
                 cfg.journal.capacity = match parse(&val("--journal-capacity")) {

@@ -22,8 +22,7 @@
 //! latency lands in its own histogram; the report shows the aggregate
 //! p50/p99 plus the *worst tenant's* p99 — the isolation number a
 //! placement layer is judged by (`tn-*` columns, `tenant_*` JSON
-//! fields). Run it against `axml-server --peers N` to see the
-//! placement gauges split the same traffic.
+//! fields).
 
 use crate::protocol::{ProtoError, Request, Response, PROTOCOL_VERSION};
 use axml_core::trace::Histogram;

@@ -50,9 +50,6 @@ pub struct ServerSnapshot {
     pub journal_dropped: u64,
     /// Time since the server started.
     pub uptime: Duration,
-    /// Per-peer placement gauges, name-sorted; empty unless the server
-    /// runs with `--peers N`.
-    pub placement: Vec<(String, PeerGauges)>,
 }
 
 /// Flatten [`GlobalMetrics`] into `(name, value)` pairs in a stable,
@@ -175,17 +172,17 @@ pub fn render_prometheus(s: &ServerSnapshot) -> String {
             push_summary(&mut out, "axml_service_latency_seconds", &labels, h);
         }
     }
-    out.push_str(&render_placement_prometheus(&s.placement));
     out
 }
 
-/// Render per-peer placement gauges as their own Prometheus block.
+/// Render a [`ShardedNetwork`]'s per-peer placement gauges as a
+/// standalone Prometheus page.
 ///
-/// Split out from [`render_prometheus`] so the X21 experiment can emit
-/// a standalone placement page from a [`ShardedNetwork`]'s gauges and
-/// have `axml-inspect prom` validate it — the same series names the
-/// server scrape page uses. `docs_placed` is a gauge (it falls on
-/// rebalance); the push/rebalance series are monotone counters.
+/// The X21 experiment writes this page from a simulated network's
+/// gauges and `axml-inspect prom` validates it; the server's own
+/// scrape page has no placement series. `docs_placed` is
+/// a gauge (it falls on rebalance); the push/rebalance series are
+/// monotone counters.
 ///
 /// [`ShardedNetwork`]: axml_p2p::ShardedNetwork
 pub fn render_placement_prometheus(rows: &[(String, PeerGauges)]) -> String {
@@ -395,7 +392,6 @@ mod tests {
             journal_len: 100,
             journal_dropped: 7,
             uptime: Duration::from_millis(1500),
-            placement: Vec::new(),
         }
     }
 
@@ -427,22 +423,12 @@ mod tests {
             ),
             ("peer\"1".to_string(), PeerGauges::default()),
         ];
-        let mut snap = snapshot();
-        snap.placement = rows.clone();
-        let page = render_prometheus(&snap);
-        let samples = validate_prometheus_text(&page).expect("page validates");
-        // Base page plus 4 placement series × 2 peers.
-        assert_eq!(
-            samples,
-            global_counters(&GlobalMetrics::default()).len() + 5 + 4 + 4 + 8
-        );
+        // 4 placement series × 2 peers.
+        let page = render_placement_prometheus(&rows);
+        assert_eq!(validate_prometheus_text(&page), Ok(8));
         assert!(page.contains("axml_peer_docs_placed{peer=\"peer-0\"} 4"));
         assert!(page.contains("axml_peer_bytes_pushed_total{peer=\"peer-0\"} 1024"));
         assert!(page.contains("peer=\"peer\\\"1\""));
-        // Standalone block is itself a valid page (X21 writes it alone).
-        let alone = render_placement_prometheus(&rows);
-        assert_eq!(validate_prometheus_text(&alone), Ok(8));
-        // Empty placement renders nothing — scrape page unchanged.
         assert!(render_placement_prometheus(&[]).is_empty());
     }
 

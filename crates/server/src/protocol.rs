@@ -138,48 +138,6 @@ impl LatencySummary {
     }
 }
 
-/// One placement peer's gauges carried by `stats_ok` when the server
-/// runs with `--peers N`: how many sessions hash onto the peer and how
-/// much subscription traffic it has pushed. Mirrors the
-/// `axml_peer_*` Prometheus series.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlacementRow {
-    /// Virtual peer name (`peer-0` … `peer-N-1`).
-    pub peer: String,
-    /// Sessions currently placed on this peer.
-    pub docs_placed: u64,
-    /// `delta`-frame trees pushed for sessions on this peer.
-    pub deltas_pushed: u64,
-    /// Bytes of tree text pushed for sessions on this peer.
-    pub bytes_pushed: u64,
-    /// Sessions re-homed by ring changes (0 on a static ring).
-    pub rebalance_moves: u64,
-}
-
-impl PlacementRow {
-    fn push_fields(&self, o: &mut String) {
-        let _ = write!(
-            o,
-            r#""peer":"{}","docs_placed":{},"deltas_pushed":{},"bytes_pushed":{},"rebalance_moves":{}"#,
-            json_escape(&self.peer),
-            self.docs_placed,
-            self.deltas_pushed,
-            self.bytes_pushed,
-            self.rebalance_moves
-        );
-    }
-
-    fn parse_fields(v: &JsonValue) -> Result<PlacementRow, ProtoError> {
-        Ok(PlacementRow {
-            peer: req_str(v, "peer")?,
-            docs_placed: opt_u64(v, "docs_placed")?.unwrap_or(0),
-            deltas_pushed: opt_u64(v, "deltas_pushed")?.unwrap_or(0),
-            bytes_pushed: opt_u64(v, "bytes_pushed")?.unwrap_or(0),
-            rebalance_moves: opt_u64(v, "rebalance_moves")?.unwrap_or(0),
-        })
-    }
-}
-
 /// A client→server frame. See `docs/protocol.md` for the normative
 /// description of each; the `id` is an opaque client-chosen correlation
 /// token echoed verbatim on every response the frame provokes (0 when
@@ -410,9 +368,6 @@ pub enum Response {
         services: Vec<(String, LatencySummary)>,
         /// Per-session request-latency digests, `(session, digest)`.
         session_stats: Vec<(String, LatencySummary)>,
-        /// Per-peer placement gauges (`--peers N` sharded placement);
-        /// empty when placement is disabled.
-        placement: Vec<PlacementRow>,
     },
     /// `health_ok` — liveness snapshot for load balancers.
     HealthOk {
@@ -430,9 +385,6 @@ pub enum Response {
         journal_len: u64,
         /// Events dropped by the ring (evictions + sampling) so far.
         journal_dropped: u64,
-        /// Virtual placement peers (`--peers N`); `0` when placement
-        /// is disabled.
-        peers: u64,
     },
     /// `tail_ok` — the `trace_tail` is registered; `trace` frames
     /// follow.
@@ -912,7 +864,6 @@ impl Response {
                 latency,
                 services,
                 session_stats,
-                placement,
             } => {
                 let _ = write!(
                     o,
@@ -934,15 +885,6 @@ impl Response {
                 push_summaries(&mut o, services);
                 o.push_str(r#"],"session_latency":["#);
                 push_summaries(&mut o, session_stats);
-                o.push_str(r#"],"placement":["#);
-                for (i, row) in placement.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    o.push('{');
-                    row.push_fields(&mut o);
-                    o.push('}');
-                }
                 o.push_str("]}");
             }
             Response::HealthOk {
@@ -953,11 +895,10 @@ impl Response {
                 conns,
                 journal_len,
                 journal_dropped,
-                peers,
             } => {
                 let _ = write!(
                     o,
-                    r#"{{"type":"health_ok","id":{id},"server":"{}","uptime_ms":{uptime_ms},"sessions":{sessions},"conns":{conns},"journal_len":{journal_len},"journal_dropped":{journal_dropped},"peers":{peers}}}"#,
+                    r#"{{"type":"health_ok","id":{id},"server":"{}","uptime_ms":{uptime_ms},"sessions":{sessions},"conns":{conns},"journal_len":{journal_len},"journal_dropped":{journal_dropped}}}"#,
                     json_escape(server)
                 );
             }
@@ -1103,7 +1044,6 @@ impl Response {
                 },
                 services: summary_pairs(&v, "services")?,
                 session_stats: summary_pairs(&v, "session_latency")?,
-                placement: placement_rows(&v)?,
             }),
             "health_ok" => Ok(Response::HealthOk {
                 id,
@@ -1113,8 +1053,6 @@ impl Response {
                 conns: req_u64(&v, "conns")?,
                 journal_len: req_u64(&v, "journal_len")?,
                 journal_dropped: req_u64(&v, "journal_dropped")?,
-                // Additive field: absent on pre-placement servers.
-                peers: opt_u64(&v, "peers")?.unwrap_or(0),
             }),
             "tail_ok" => Ok(Response::TailOk { id }),
             "trace" => Ok(Response::Trace {
@@ -1184,17 +1122,6 @@ fn counter_pairs(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, ProtoEr
                     Ok((name, value))
                 })
                 .collect()
-        }
-    }
-}
-
-fn placement_rows(v: &JsonValue) -> Result<Vec<PlacementRow>, ProtoError> {
-    match v.get("placement") {
-        // Additive field: absent on pre-placement servers.
-        None | Some(JsonValue::Null) => Ok(Vec::new()),
-        Some(f) => {
-            let arr = f.as_arr().ok_or_else(|| miss("placement", "array"))?;
-            arr.iter().map(PlacementRow::parse_fields).collect()
         }
     }
 }
@@ -1461,13 +1388,6 @@ mod tests {
                         max_ns: 1_200_000,
                     },
                 )],
-                placement: vec![PlacementRow {
-                    peer: "peer-0".into(),
-                    docs_placed: 3,
-                    deltas_pushed: 11,
-                    bytes_pushed: 2_048,
-                    rebalance_moves: 0,
-                }],
             },
             Response::HealthOk {
                 id: 9,
@@ -1477,7 +1397,6 @@ mod tests {
                 conns: 2,
                 journal_len: 4_096,
                 journal_dropped: 137,
-                peers: 4,
             },
             Response::TailOk { id: 10 },
             Response::Trace {
@@ -1572,22 +1491,14 @@ mod tests {
                 latency,
                 services,
                 session_stats,
-                placement,
                 ..
             } => {
                 assert!(counters.is_empty());
                 assert_eq!(latency, LatencySummary::default());
                 assert!(services.is_empty());
                 assert!(session_stats.is_empty());
-                assert!(placement.is_empty());
             }
             other => panic!("expected stats_ok, got {other:?}"),
-        }
-        // Same policy for `health_ok.peers`.
-        let old = r#"{"type":"health_ok","id":9,"server":"x","uptime_ms":1,"sessions":0,"conns":1,"journal_len":0,"journal_dropped":0}"#;
-        match Response::parse(old).unwrap() {
-            Response::HealthOk { peers, .. } => assert_eq!(peers, 0),
-            other => panic!("expected health_ok, got {other:?}"),
         }
         // A trace frame with no session omits the key on the wire and
         // parses back to the empty string.

@@ -23,10 +23,9 @@
 //! fixpoint is mid-round.
 
 use crate::protocol::{
-    codes, LatencySummary, PlacementRow, ProtoError, Request, Response, PROTOCOL_VERSION,
+    codes, LatencySummary, ProtoError, Request, Response, PROTOCOL_VERSION,
 };
 use axml_core::engine::{EngineConfig, EngineMode, RunStatus};
-use axml_p2p::{PeerGauges, Ring};
 use axml_core::trace::{
     chrome_trace, chrome_trace_to, EventCategory, EventKind, Histogram, Journal, JournalConfig,
     MetricsRegistry, ReqKind, TraceEvent, TraceSink, Tracer,
@@ -82,13 +81,6 @@ pub struct ServerConfig {
     /// address (e.g. `"127.0.0.1:9464"`) for scraping. `None` (the
     /// default) disables the listener.
     pub metrics_addr: Option<String>,
-    /// Virtual placement peers (`--peers N`). When non-zero, every
-    /// session is consistent-hashed onto one of `N` virtual peers
-    /// (same [`Ring`] the sharded p2p runtime uses) and per-peer
-    /// gauges — sessions placed, subscription trees/bytes pushed —
-    /// are exposed through `stats`, `health`, and the Prometheus
-    /// page. `0` (the default) disables placement tracking.
-    pub peers: usize,
 }
 
 impl Default for ServerConfig {
@@ -106,102 +98,7 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             journal: JournalConfig::default(),
             metrics_addr: None,
-            peers: 0,
         }
-    }
-}
-
-/// Consistent-hash placement of sessions onto virtual peers.
-///
-/// The server is one process, so "placement" here is an accounting
-/// overlay, not data movement: the [`Ring`] (the same structure
-/// `axml_p2p::ShardedNetwork` shards tenants with, same virtual-node
-/// smoothing and deterministic seed) decides which virtual peer owns
-/// each session, and subscription push traffic is attributed to the
-/// owner. That makes the server's `stats`/Prometheus placement rows
-/// directly comparable with a real sharded deployment of the same
-/// workload — the X21 experiment overlays the two.
-pub struct PlacementTracker {
-    ring: Ring,
-    peers: Vec<Sym>,
-    /// session name → owning peer.
-    assigned: HashMap<String, Sym>,
-    /// Owner → (deltas_pushed, bytes_pushed) counters.
-    pushed: HashMap<Sym, (u64, u64)>,
-}
-
-impl PlacementTracker {
-    /// A tracker over peers `peer-0` … `peer-N-1` (ring parameters
-    /// match [`axml_p2p::ShardedConfig::default`]).
-    pub fn new(n: usize) -> PlacementTracker {
-        let cfg = axml_p2p::ShardedConfig::default();
-        let mut ring = Ring::new(cfg.vnodes, cfg.seed);
-        let peers: Vec<Sym> = (0..n.max(1))
-            .map(|i| Sym::intern(&format!("peer-{i}")))
-            .collect();
-        for &p in &peers {
-            ring.add_peer(p);
-        }
-        PlacementTracker {
-            ring,
-            peers,
-            assigned: HashMap::new(),
-            pushed: HashMap::new(),
-        }
-    }
-
-    /// Place a session; returns its owning peer.
-    pub fn place(&mut self, session: &str) -> Sym {
-        let owner = self.ring.owner(session).expect("ring is never empty");
-        self.assigned.insert(session.to_string(), owner);
-        owner
-    }
-
-    /// Forget a closed session.
-    pub fn remove(&mut self, session: &str) {
-        self.assigned.remove(session);
-    }
-
-    /// Attribute one subscription push for `session` to its owner.
-    /// Sessions opened before placement was enabled (or never placed)
-    /// are placed on first push so traffic is never dropped.
-    pub fn record_push(&mut self, session: &str, trees: u64, bytes: u64) {
-        let owner = match self.assigned.get(session) {
-            Some(&o) => o,
-            None => self.place(session),
-        };
-        let e = self.pushed.entry(owner).or_insert((0, 0));
-        e.0 += trees;
-        e.1 += bytes;
-    }
-
-    /// Name-sorted `(peer, gauges)` rows covering **every** peer, so
-    /// the exposed series are stable and idle peers read as zeros.
-    pub fn rows(&self) -> Vec<(String, PeerGauges)> {
-        let mut rows: Vec<(String, PeerGauges)> = self
-            .peers
-            .iter()
-            .map(|&p| {
-                let (deltas, bytes) = self.pushed.get(&p).copied().unwrap_or((0, 0));
-                let docs = self.assigned.values().filter(|&&o| o == p).count() as u64;
-                (
-                    p.to_string(),
-                    PeerGauges {
-                        docs_placed: docs,
-                        deltas_pushed: deltas,
-                        bytes_pushed: bytes,
-                        rebalance_moves: 0,
-                    },
-                )
-            })
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Number of virtual peers on the ring.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
     }
 }
 
@@ -468,9 +365,6 @@ struct Shared {
     cfg: ServerConfig,
     sink: SharedSink,
     sessions: Mutex<HashMap<String, Arc<Session>>>,
-    /// Session→virtual-peer placement accounting; `None` unless the
-    /// server runs with [`ServerConfig::peers`] > 0.
-    placement: Option<Mutex<PlacementTracker>>,
     conns: AtomicUsize,
     shutdown: AtomicBool,
     listen_addr: SocketAddr,
@@ -518,15 +412,10 @@ impl Server {
         let metrics_addr = metrics_listener
             .as_ref()
             .and_then(|l| l.local_addr().ok());
-        let placement = match cfg.peers {
-            0 => None,
-            n => Some(Mutex::new(PlacementTracker::new(n))),
-        };
         let shared = Arc::new(Shared {
             cfg,
             sink: SharedSink::with_config(journal),
             sessions: Mutex::new(HashMap::new()),
-            placement,
             conns: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             listen_addr: addr,
@@ -706,17 +595,7 @@ fn render_scrape(shared: &Arc<Shared>) -> String {
         journal_len: shared.sink.journal_len() as u64,
         journal_dropped: shared.sink.journal_dropped(),
         uptime: shared.epoch.elapsed(),
-        placement: placement_rows(shared),
     })
-}
-
-/// Placement gauge rows for the `stats` frame and Prometheus page;
-/// empty when placement is disabled.
-fn placement_rows(shared: &Shared) -> Vec<(String, PeerGauges)> {
-    shared
-        .placement
-        .as_ref()
-        .map_or_else(Vec::new, |p| lock(p).rows())
 }
 
 /// What the reader thread hands the serving loop: a parsed request
@@ -952,15 +831,10 @@ fn dispatch(
         }
         Request::Close { id, session } => {
             match lock(&shared.sessions).remove(session) {
-                Some(_) => {
-                    if let Some(p) = &shared.placement {
-                        lock(p).remove(session);
-                    }
-                    Ok(Response::Closed {
-                        id: *id,
-                        session: session.clone(),
-                    })
-                }
+                Some(_) => Ok(Response::Closed {
+                    id: *id,
+                    session: session.clone(),
+                }),
                 None => Err(unknown_session(session)),
             }
         }
@@ -991,16 +865,6 @@ fn dispatch(
                     .into_iter()
                     .map(|(n, h)| (n, LatencySummary::from_histogram(&h)))
                     .collect(),
-                placement: placement_rows(shared)
-                    .into_iter()
-                    .map(|(peer, g)| PlacementRow {
-                        peer,
-                        docs_placed: g.docs_placed,
-                        deltas_pushed: g.deltas_pushed,
-                        bytes_pushed: g.bytes_pushed,
-                        rebalance_moves: g.rebalance_moves,
-                    })
-                    .collect(),
             })
         }
         Request::Health { id } => Ok(Response::HealthOk {
@@ -1011,10 +875,6 @@ fn dispatch(
             conns: shared.conns.load(Ordering::SeqCst) as u64,
             journal_len: shared.sink.journal_len() as u64,
             journal_dropped: shared.sink.journal_dropped(),
-            peers: shared
-                .placement
-                .as_ref()
-                .map_or(0, |p| lock(p).peer_count() as u64),
         }),
         Request::TraceTail {
             id,
@@ -1146,9 +1006,6 @@ fn open_session(
         ));
     }
     table.insert(session.to_string(), Arc::new(Session::new(sys)));
-    if let Some(p) = &shared.placement {
-        lock(p).place(session);
-    }
     Ok(Response::OpenOk {
         id,
         session: session.to_string(),
@@ -1417,10 +1274,6 @@ fn serve_subscribe(
         };
         if !fresh.is_empty() {
             let trees: Vec<String> = fresh.iter().map(|t| t.to_string()).collect();
-            if let Some(p) = &shared.placement {
-                let bytes: u64 = trees.iter().map(|t| t.len() as u64).sum();
-                lock(p).record_push(session, trees.len() as u64, bytes);
-            }
             shared.sink.record_traced(
                 EventKind::SubscriptionPush {
                     session: sym,

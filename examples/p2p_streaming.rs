@@ -6,14 +6,13 @@
 //! cargo run --example p2p_streaming
 //! ```
 
-use positive_axml::p2p::network::{Mode, Network};
-use positive_axml::p2p::termination::{detect_termination, Verdict};
+use positive_axml::p2p::{detect_termination, Mode, ShardedNetwork, Verdict};
 
-fn build(mode: Mode, seed: Option<u64>) -> Network {
-    let mut net = Network::new(mode, seed);
+fn build(mode: Mode, seed: Option<u64>) -> ShardedNetwork {
+    let mut net = ShardedNetwork::flat(mode, seed);
 
     // A music store holding the data.
-    let store = net.add_peer("store");
+    let store = net.add_tenant("store");
     store
         .add_document_text(
             "cds",
@@ -33,7 +32,7 @@ fn build(mode: Mode, seed: Option<u64>) -> Network {
 
     // A reviews hub whose ANSWERS are intensional: they contain calls
     // back to the store rather than materialized ratings.
-    let hub = net.add_peer("hub");
+    let hub = net.add_tenant("hub");
     hub.add_document_text("feed", "feed{@store.titles}").unwrap();
     hub.add_service_text(
         "reviews",
@@ -42,7 +41,7 @@ fn build(mode: Mode, seed: Option<u64>) -> Network {
     .unwrap();
 
     // The end-user portal subscribes to the hub.
-    let portal = net.add_peer("portal");
+    let portal = net.add_tenant("portal");
     portal
         .add_document_text("page", "page{@hub.reviews}")
         .unwrap();
@@ -53,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pull mode: rounds of polling until global quiescence.
     let mut pull = build(Mode::Pull, None);
     assert!(pull.run(100)?);
-    println!("pull page : {}", pull.peer("portal").unwrap().doc("page").unwrap());
+    println!("pull page : {}", pull.tenant("portal").unwrap().doc("page").unwrap());
     println!(
         "pull stats: {} rounds, {} calls, {} responses ({} productive)",
         pull.stats.rounds, pull.stats.calls_sent, pull.stats.responses,
@@ -81,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Distributed termination detection (§6): the two-wave detector.
     let mut net = build(Mode::Pull, None);
-    match detect_termination(&mut net, 200)? {
+    match detect_termination(&mut net, 200, |_, _| {})? {
         Verdict::Terminated { rounds, waves } => {
             println!("distributed termination detected after {rounds} rounds / {waves} waves")
         }

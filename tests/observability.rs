@@ -127,16 +127,16 @@ fn x14_chrome_trace_is_produced_and_validates() {
 /// The p2p network journal also exports to a valid Chrome trace.
 #[test]
 fn p2p_journal_exports_to_chrome_trace() {
-    use positive_axml::p2p::network::{Mode, Network};
-    let mut net = Network::new(Mode::Pull, None);
-    let store = net.add_peer("store");
+    use positive_axml::p2p::{Mode, ShardedNetwork};
+    let mut net = ShardedNetwork::flat(Mode::Pull, None);
+    let store = net.add_tenant("store");
     store
         .add_document_text("cds", r#"catalog{cd{title{"Kind of Blue"}}}"#)
         .unwrap();
     store
         .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
         .unwrap();
-    let portal = net.add_peer("portal");
+    let portal = net.add_tenant("portal");
     portal
         .add_document_text("dir", "directory{@store.titles}")
         .unwrap();
@@ -157,16 +157,16 @@ fn p2p_journal_exports_to_chrome_trace() {
 #[test]
 fn simulator_stamps_cross_peer_lineage() {
     use positive_axml::core::provenance::Origin;
-    use positive_axml::p2p::network::{Mode, Network};
-    let mut net = Network::new(Mode::Pull, None);
-    let store = net.add_peer("store");
+    use positive_axml::p2p::{Mode, ShardedNetwork};
+    let mut net = ShardedNetwork::flat(Mode::Pull, None);
+    let store = net.add_tenant("store");
     store
         .add_document_text("cds", r#"catalog{cd{title{"Kind of Blue"}}}"#)
         .unwrap();
     store
         .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
         .unwrap();
-    let portal = net.add_peer("portal");
+    let portal = net.add_tenant("portal");
     portal
         .add_document_text("dir", "directory{@store.titles}")
         .unwrap();
@@ -174,7 +174,7 @@ fn simulator_stamps_cross_peer_lineage() {
     assert!(net.run(100).unwrap());
 
     let dir = Sym::intern("dir");
-    let tree = net.peer("portal").unwrap().doc("dir").unwrap();
+    let tree = net.tenant("portal").unwrap().doc("dir").unwrap();
     let portal_store = net.provenance_store("portal").unwrap();
     let (_, origin) = tree
         .iter_live(tree.root())
@@ -209,7 +209,7 @@ fn simulator_stamps_cross_peer_lineage() {
 #[test]
 fn threaded_run_ships_cross_peer_lineage() {
     use positive_axml::core::provenance::Origin;
-    use positive_axml::p2p::{run_threaded_full, standalone_peer};
+    use positive_axml::p2p::{run_threaded, standalone_peer, ThreadedConfig};
     let mut store = standalone_peer("store");
     store
         .add_document_text("cds", r#"catalog{cd{title{"Kind of Blue"}}}"#)
@@ -221,8 +221,12 @@ fn threaded_run_ships_cross_peer_lineage() {
     portal
         .add_document_text("dir", "directory{@store.titles}")
         .unwrap();
-    let outcome =
-        run_threaded_full(vec![store, portal], 64, false, true).unwrap();
+    let cfg = ThreadedConfig {
+        max_waves: 64,
+        provenance: true,
+        ..ThreadedConfig::default()
+    };
+    let outcome = run_threaded(vec![store, portal], &cfg).unwrap();
     assert!(outcome.stats.messages > 0);
 
     let dir = Sym::intern("dir");

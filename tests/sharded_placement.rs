@@ -15,7 +15,7 @@ use axml_bench::sharded_tenant_network;
 use positive_axml::core::provenance::Origin;
 use positive_axml::core::trace::{EventKind, TraceEvent};
 use positive_axml::p2p::{
-    detect_termination_sharded_with, ShardedConfig, ShardedNetwork, Verdict,
+    detect_termination, ShardedConfig, ShardedNetwork, Verdict,
 };
 use proptest::prelude::*;
 
@@ -139,7 +139,7 @@ proptest! {
         let want = stable.canonical_key();
 
         let mut joined = net_with(2, pairs, chain, ShardedConfig::default().seed);
-        let verdict = detect_termination_sharded_with(&mut joined, MAX_ROUNDS, |n, round| {
+        let verdict = detect_termination(&mut joined, MAX_ROUNDS, |n, round| {
             if round == event_round {
                 n.join_peer("late");
             }
@@ -154,7 +154,7 @@ proptest! {
         prop_assert!(joined.canonical_key() == want, "join changed the fixpoint");
 
         let mut shrunk = net_with(3, pairs, chain, ShardedConfig::default().seed);
-        let verdict = detect_termination_sharded_with(&mut shrunk, MAX_ROUNDS, |n, round| {
+        let verdict = detect_termination(&mut shrunk, MAX_ROUNDS, |n, round| {
             if round == event_round {
                 n.leave_peer("peer-2").unwrap();
             }
@@ -213,7 +213,7 @@ fn provenance_origins_identical_across_peer_counts_and_join() {
 
     let mut joined = net_with(2, 3, 8, ShardedConfig::default().seed);
     joined.enable_provenance();
-    let verdict = detect_termination_sharded_with(&mut joined, MAX_ROUNDS, |n, round| {
+    let verdict = detect_termination(&mut joined, MAX_ROUNDS, |n, round| {
         if round == 1 {
             n.join_peer("late");
         }
@@ -238,7 +238,7 @@ fn rebalance_moves_whole_tenant_state() {
 
     let mut joined = net_with(2, 3, 8, ShardedConfig::default().seed);
     joined.enable_provenance();
-    let verdict = detect_termination_sharded_with(&mut joined, MAX_ROUNDS, |n, round| {
+    let verdict = detect_termination(&mut joined, MAX_ROUNDS, |n, round| {
         if round == 2 {
             n.join_peer("late");
         }
